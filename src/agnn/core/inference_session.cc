@@ -271,8 +271,6 @@ void InferenceSession::EnableIngestion(const data::Dataset& dataset,
   AGNN_CHECK(model_->item_side_.attrs == &dataset.item_attrs);
   obs::TraceSpan span(trace_, "enable", "ingest");
   ingest_ = std::make_unique<IngestState>();
-  ingest_->dataset = &dataset;
-  ingest_->options = options;
   const auto setup = [&](IngestSide* side,
                          const std::vector<std::vector<size_t>>& attrs,
                          size_t num_slots, size_t base_rows) {
@@ -280,7 +278,6 @@ void InferenceSession::EnableIngestion(const data::Dataset& dataset,
     side->graph = std::make_unique<graph::DynamicKnnGraph>(attrs, num_slots,
                                                            options.top_k);
     side->base_rows = base_rows;
-    side->valid.assign(base_rows, 1);
   };
   setup(&ingest_->users, dataset.user_attrs, dataset.user_schema.total_slots(),
         user_embeddings_.rows());
@@ -289,8 +286,6 @@ void InferenceSession::EnableIngestion(const data::Dataset& dataset,
   if (metrics_ != nullptr) {
     ingest_->nodes_counter = metrics_->GetCounter("ingest/nodes");
     ingest_->edges_counter = metrics_->GetCounter("ingest/edges_linked");
-    ingest_->invalidated_counter =
-        metrics_->GetCounter("ingest/rows_invalidated");
     ingest_->refreshed_counter = metrics_->GetCounter("ingest/rows_refreshed");
   }
   if (span.enabled()) {
@@ -310,29 +305,17 @@ size_t InferenceSession::IngestNode(bool user_side,
     obs::TraceSpan prox(trace_, "proximity", "ingest");
     inserted = side.graph->InsertNode(attr_slots);
     if (prox.enabled()) {
-      prox.AddArg("edges", static_cast<double>(inserted.touched.size()));
+      prox.AddArg("edges", static_cast<double>(inserted.linked));
     }
   }
 
-  // Conservative dependency tracking: every neighbor the new node linked
-  // gained an adjacency edge, so its cached fused row is marked stale and
-  // recomputed on its next gather. The recompute reproduces the identical
-  // bytes (Eq. 5 depends only on the node's own attributes/preference) —
-  // which is exactly what makes the §17 rebuild-equivalence contract hold.
-  uint64_t invalidated = 0;
-  for (size_t w : inserted.touched) {
-    if (side.valid[w]) {
-      side.valid[w] = 0;
-      invalidated += 1;
-    }
-  }
-  ingest_->stats.rows_invalidated += invalidated;
-
-  // Eagerly compute the new node's fused row through the cold-start module
-  // (catalog-form: the id is beyond the trained preference table, so its
-  // preference is fully replaced — the paper's strict-cold regime). An
-  // ingested node is servable the moment IngestNode returns; time-to-serve
-  // is what bench/cold_ingestion clocks around this call.
+  // No cached row changes: a fused row (Eq. 5) depends only on the node's
+  // own attributes and preference, never on its adjacency. Eagerly compute
+  // the new node's fused row through the cold-start module (catalog-form:
+  // the id is beyond the trained preference table, so its preference is
+  // fully replaced — the paper's strict-cold regime). An ingested node is
+  // servable the moment IngestNode returns; time-to-serve is what
+  // bench/cold_ingestion clocks around this call.
   {
     obs::TraceSpan embed(trace_, "embed", "ingest");
     const std::vector<size_t> ids(1, inserted.id);
@@ -343,20 +326,21 @@ size_t InferenceSession::IngestNode(bool user_side,
     side.extra.insert(side.extra.end(), p.data(), p.data() + dim_);
     ws_.Give(std::move(p));
   }
-  side.valid.push_back(1);
 
   (user_side ? ingest_->stats.ingested_users : ingest_->stats.ingested_items) +=
       1;
-  ingest_->stats.edges_linked += inserted.touched.size();
+  ingest_->stats.edges_linked += inserted.linked;
+  ingest_->stats.rows_refreshed += inserted.rewritten;
   if (ingest_->nodes_counter != nullptr) {
     ingest_->nodes_counter->Increment();
-    ingest_->edges_counter->Increment(inserted.touched.size());
-    ingest_->invalidated_counter->Increment(invalidated);
+    ingest_->edges_counter->Increment(inserted.linked);
+    ingest_->refreshed_counter->Increment(inserted.rewritten);
   }
   if (span.enabled()) {
     span.AddArg("side", user_side ? 1.0 : 0.0);
     span.AddArg("id", static_cast<double>(inserted.id));
-    span.AddArg("edges", static_cast<double>(inserted.touched.size()));
+    span.AddArg("edges", static_cast<double>(inserted.linked));
+    span.AddArg("rows", static_cast<double>(inserted.rewritten));
   }
   return inserted.id;
 }
@@ -366,9 +350,10 @@ const InferenceSession::IngestStats& InferenceSession::ingest_stats() const {
   return ingest_->stats;
 }
 
-graph::DynamicKnnGraph* InferenceSession::ingest_graph(bool user_side) {
+const graph::DynamicKnnGraph* InferenceSession::ingest_graph(
+    bool user_side) const {
   if (ingest_ == nullptr) return nullptr;
-  return ingest_side(user_side).graph.get();
+  return (user_side ? ingest_->users : ingest_->items).graph.get();
 }
 
 void InferenceSession::SampleIngestNeighborsInto(bool user_side, size_t node,
@@ -378,110 +363,19 @@ void InferenceSession::SampleIngestNeighborsInto(bool user_side, size_t node,
   ingest_side(user_side).graph->SampleNeighborsInto(node, count, rng, out);
 }
 
-void InferenceSession::RefreshStaleRows(bool user_side,
-                                        const std::vector<size_t>& ids) {
-  IngestSide& side = ingest_side(user_side);
-  std::vector<size_t>& stale = ingest_->stale_ids;
-  stale.clear();
-  for (size_t id : ids) {
-    AGNN_CHECK_LT(id, side.valid.size());
-    if (!side.valid[id]) {
-      side.valid[id] = 1;  // flipping now also dedups repeated ids
-      stale.push_back(id);
-    }
-  }
-  if (stale.empty()) return;
-
-  obs::TraceSpan span(trace_, "refresh", "ingest");
-  // One catalog-form batch: base rows with their dataset attrs and original
-  // cold flags (bitwise the constructor's precompute), ingested rows with
-  // their stored slots and missing set (bitwise IngestNode's compute).
-  const std::vector<std::vector<size_t>>& base_attrs =
-      user_side ? ingest_->dataset->user_attrs : ingest_->dataset->item_attrs;
-  const std::vector<bool>* cold = user_side ? cold_users_ : cold_items_;
-  std::vector<std::vector<size_t>>& attrs = ingest_->stale_attrs;
-  std::vector<bool>& missing = ingest_->stale_missing;
-  attrs.clear();
-  missing.assign(stale.size(), false);
-  for (size_t i = 0; i < stale.size(); ++i) {
-    const size_t id = stale[i];
-    if (id < side.base_rows) {
-      attrs.push_back(base_attrs[id]);
-      missing[i] = cold != nullptr && (*cold)[id];
-    } else {
-      attrs.push_back(side.graph->node_slots(id));
-      missing[i] = true;
-    }
-  }
-  Matrix p = model_->ComputeNodesInference(user_side, stale, attrs, missing,
-                                           &ws_);
-  Matrix& base = user_side ? user_embeddings_ : item_embeddings_;
-  for (size_t i = 0; i < stale.size(); ++i) {
-    const size_t id = stale[i];
-    float* dst = id < side.base_rows
-                     ? base.data() + id * dim_
-                     : side.extra.data() + (id - side.base_rows) * dim_;
-    std::memcpy(dst, p.data() + i * dim_, dim_ * sizeof(float));
-  }
-  ws_.Give(std::move(p));
-  ingest_->stats.rows_refreshed += stale.size();
-  if (ingest_->refreshed_counter != nullptr) {
-    ingest_->refreshed_counter->Increment(stale.size());
-  }
-  if (span.enabled()) {
-    span.AddArg("rows", static_cast<double>(stale.size()));
-  }
-}
-
 void InferenceSession::GatherIngestRows(bool user_side,
                                         const std::vector<size_t>& ids,
                                         Matrix* out) {
-  RefreshStaleRows(user_side, ids);
   IngestSide& side = ingest_side(user_side);
   const Matrix& base = user_side ? user_embeddings_ : item_embeddings_;
   for (size_t i = 0; i < ids.size(); ++i) {
     const size_t id = ids[i];
+    AGNN_CHECK_LT(id, side.base_rows + side.extra.size() / dim_);
     const float* src = id < side.base_rows
                            ? base.data() + id * dim_
                            : side.extra.data() + (id - side.base_rows) * dim_;
     std::memcpy(out->data() + i * dim_, src, dim_ * sizeof(float));
   }
-}
-
-void InferenceSession::RebuildIngestCaches() {
-  AGNN_CHECK(ingest_ != nullptr);
-  obs::TraceSpan span(trace_, "rebuild", "ingest");
-  RebuildIngestSide(/*user_side=*/true);
-  RebuildIngestSide(/*user_side=*/false);
-}
-
-void InferenceSession::RebuildIngestSide(bool user_side) {
-  IngestSide& side = ingest_side(user_side);
-  // Base catalog: the identical chunked sweep construction ran.
-  PrecomputeSide(user_side, user_side ? cold_users_ : cold_items_,
-                 user_side ? &user_embeddings_ : &item_embeddings_);
-  // Ingested rows: catalog-form over their stored slots, chunked the same
-  // way, every row strict-cold.
-  const size_t extra_rows = side.extra.size() / dim_;
-  constexpr size_t kChunk = 256;
-  std::vector<size_t> ids;
-  std::vector<std::vector<size_t>> attrs;
-  for (size_t start = 0; start < extra_rows; start += kChunk) {
-    const size_t end = std::min(extra_rows, start + kChunk);
-    ids.resize(end - start);
-    attrs.clear();
-    for (size_t i = start; i < end; ++i) {
-      ids[i - start] = side.base_rows + i;
-      attrs.push_back(side.graph->node_slots(side.base_rows + i));
-    }
-    const std::vector<bool> missing(ids.size(), true);
-    Matrix p = model_->ComputeNodesInference(user_side, ids, attrs, missing,
-                                             &ws_);
-    std::memcpy(side.extra.data() + start * dim_, p.data(),
-                p.size() * sizeof(float));
-    ws_.Give(std::move(p));
-  }
-  side.valid.assign(side.base_rows + extra_rows, 1);
 }
 
 void InferenceSession::PrecomputeSide(bool user_side,

@@ -143,10 +143,8 @@ class InferenceSession {
     uint64_t ingested_items = 0;
     /// Graph edges the ingested nodes linked (both sides combined).
     uint64_t edges_linked = 0;
-    /// Cached fused-embedding rows marked stale by inserts / lazily
-    /// recomputed on their next gather. Adjacency-row churn is counted
-    /// separately, on the DynamicKnnGraphs themselves.
-    uint64_t rows_invalidated = 0;
+    /// Pre-existing adjacency rows the inserts rewrote (both sides; see
+    /// DynamicKnnGraph::InsertResult::rewritten).
     uint64_t rows_refreshed = 0;
   };
 
@@ -155,9 +153,8 @@ class InferenceSession {
   /// can insert arriving nodes. Model-backed sessions only (an ingested
   /// node's embedding is computed through the model's cold-start module);
   /// `dataset` must be the session model's construction dataset and must
-  /// outlive the session. Until the first IngestNode, predictions are
-  /// bitwise-unchanged — enabling ingestion only adds validity bookkeeping
-  /// around the same cached rows.
+  /// outlive the session. Predictions are bitwise-unchanged — enabling
+  /// ingestion only builds the graphs, and cached rows are never rewritten.
   void EnableIngestion(const data::Dataset& dataset,
                        const IngestOptions& options);
   void EnableIngestion(const data::Dataset& dataset) {
@@ -169,20 +166,18 @@ class InferenceSession {
   /// node count. The node is inserted into the side's dynamic attribute
   /// graph via top-k attribute-proximity search, its fused embedding p is
   /// computed eagerly through the cold-start module (eVAE-generated x', so
-  /// the node is servable the moment this returns), and the cached rows of
-  /// its new graph neighbors are invalidated, to be lazily refreshed on
-  /// their next gather. Refreshes are bitwise-identical recomputations —
-  /// the post-ingest session equals a freshly built one over the same
-  /// post-ingest world (the §17 contract test).
+  /// the node is servable the moment this returns). No cached row changes:
+  /// Eq. 5 rows depend only on a node's own attributes and preference, so
+  /// base-catalog predictions stay bitwise those of a session that never
+  /// ingested (the §17 contract test).
   size_t IngestNode(bool user_side, const std::vector<size_t>& attr_slots);
 
   bool ingestion_enabled() const { return ingest_ != nullptr; }
   const IngestStats& ingest_stats() const;
 
   /// The side's dynamic attribute graph (null unless ingestion is
-  /// enabled). Mutable because reads lazily refresh stale adjacency rows —
-  /// the test/bench seam for Flatten() and churn counters.
-  graph::DynamicKnnGraph* ingest_graph(bool user_side);
+  /// enabled) — the test/bench seam for Flatten() and churn counters.
+  const graph::DynamicKnnGraph* ingest_graph(bool user_side) const;
 
   /// Samples `count` neighbors of `node` from the side's dynamic graph,
   /// appending onto `out` — how callers draw request neighbor lists that
@@ -190,14 +185,6 @@ class InferenceSession {
   /// graph::SampleNeighborsInto on the flattened graph.
   void SampleIngestNeighborsInto(bool user_side, size_t node, size_t count,
                                  Rng* rng, std::vector<size_t>* out);
-
-  /// The batch alternative IngestNode's incremental path is measured
-  /// against: recomputes EVERY cached row (base catalog chunk-by-chunk
-  /// exactly like construction, then all ingested rows) and marks them
-  /// valid. Bitwise no-op on the served bytes — bench/cold_ingestion gates
-  /// on that while charging the full-rebuild cost against the incremental
-  /// churn counters.
-  void RebuildIngestCaches();
 
   size_t num_users() const;
   size_t num_items() const;
@@ -209,6 +196,14 @@ class InferenceSession {
   ServingPrecision precision() const {
     return quantized_ ? ServingPrecision::kInt8 : ServingPrecision::kF32;
   }
+
+  /// The one seam between resident and lazy embedding storage: gathers the
+  /// fused embeddings of `ids` on one side into `out` ([ids.size(), D],
+  /// caller-sized). Both backends copy the same bytes (DESIGN.md §13
+  /// bitwise contract); with ingestion enabled, ingested ids are served
+  /// through the same memcpy.
+  void GatherEmbeddingRows(bool user_side, const std::vector<size_t>& ids,
+                           Matrix* out);
 
   /// Cached fused embeddings ([num_users, D] / [num_items, D]). Empty in a
   /// lazy serving session — rows live in the mapped shards there.
@@ -242,14 +237,6 @@ class InferenceSession {
   void PrecomputeSide(bool user_side, const std::vector<bool>* cold,
                       Matrix* cache);
 
-  /// The one seam between resident and lazy embedding storage: gathers
-  /// `ids` rows of one side into `out` ([ids.size(), D]). Both backends
-  /// copy the same bytes (DESIGN.md §13 bitwise contract). With ingestion
-  /// enabled it first refreshes any stale requested rows, then serves base
-  /// and ingested rows through the same memcpy.
-  void GatherEmbeddingRows(bool user_side, const std::vector<size_t>& ids,
-                           Matrix* out);
-
   /// Ingestion internals (DESIGN.md §17).
   struct IngestSide {
     std::unique_ptr<graph::DynamicKnnGraph> graph;
@@ -257,35 +244,21 @@ class InferenceSession {
     /// Fused embeddings of ingested nodes, row-major [num_extra, D],
     /// appended by IngestNode.
     std::vector<float> extra;
-    /// Validity over base + ingested rows; cleared by neighbor
-    /// invalidation, restored by RefreshStaleRows.
-    std::vector<uint8_t> valid;
   };
   struct IngestState {
-    const data::Dataset* dataset = nullptr;
-    IngestOptions options;
     IngestSide users;
     IngestSide items;
     IngestStats stats;
     // Registry handles (null without a registry), mirroring `stats`.
     obs::Counter* nodes_counter = nullptr;
     obs::Counter* edges_counter = nullptr;
-    obs::Counter* invalidated_counter = nullptr;
     obs::Counter* refreshed_counter = nullptr;
-    // Refresh scratch, reused across gathers.
-    std::vector<size_t> stale_ids;
-    std::vector<std::vector<size_t>> stale_attrs;
-    std::vector<bool> stale_missing;
   };
   IngestSide& ingest_side(bool user_side) {
     return user_side ? ingest_->users : ingest_->items;
   }
-  /// Recomputes (catalog-form, one batch) every stale row among `ids` and
-  /// writes the — bitwise-identical — bytes back into its cache slot.
-  void RefreshStaleRows(bool user_side, const std::vector<size_t>& ids);
   void GatherIngestRows(bool user_side, const std::vector<size_t>& ids,
                         Matrix* out);
-  void RebuildIngestSide(bool user_side);
 
   void ResolveInstruments(double build_ms);
 

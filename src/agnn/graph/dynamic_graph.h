@@ -8,7 +8,6 @@
 
 #include "agnn/common/rng.h"
 #include "agnn/graph/graph.h"
-#include "agnn/graph/proximity.h"
 
 namespace agnn::graph {
 
@@ -16,35 +15,37 @@ namespace agnn::graph {
 /// counterpart of BuildKnnGraph(PairwiseBinaryCosine(slots), k) for the
 /// online cold-start ingestion path.
 ///
-/// InsertNode adds one attribute-only node: its cosine similarities to every
-/// co-occurring node are computed through the same inverted slot index the
-/// batch builder walks, the new edges are mirrored into the existing
-/// similarity rows, and the touched nodes' derived top-k adjacency rows are
-/// invalidated and lazily recomputed on next access.
+/// Only each node's top-k adjacency row is kept (memory O(N·k)); full
+/// similarity rows are never materialized. InsertNode finds the new node's
+/// co-occurring nodes through the inverted slot index, computes its own row,
+/// and updates every neighbor's row eagerly and exactly:
+///  - a row of degree < k appends the new node (it stays in ascending-id
+///    order, as TruncateTopK leaves short rows);
+///  - a row going from k to k+1 entries takes TopKOrder over all k+1;
+///  - a full row admits the new node iff `sim > kth weight`, placed after
+///    every equal weight. The new node has the maximum id, so under
+///    TopKOrder's (weight descending, position ascending) total order it
+///    loses every tie, and top-k(row ∪ {new}) == top-k(top-k(row) ∪ {new}).
+/// The constructor builds by the same inserts, in id order.
 ///
 /// Rebuild-equivalence contract: after any insert sequence, Flatten() is
 /// byte-for-byte equal to BuildKnnGraph(PairwiseBinaryCosine(all slots), k)
-/// over the post-insert slot catalog (enforced by dynamic_graph_test). The
-/// parity argument, row by row:
-///  - binary-cosine dots are exact small-integer counts, so the incremental
-///    accumulation order cannot differ from the batch builder's;
+/// over the post-insert slot catalog (enforced by dynamic_graph_test):
+///  - binary-cosine dots are exact small-integer counts, so the counting
+///    order cannot differ from the batch builder's accumulation;
 ///  - `sim = dot / (norms[u] * norms[v])` sees the identical float operands
 ///    in both directions (IEEE float multiplication is commutative);
-///  - the new node takes the maximum id, so appending its edge keeps every
-///    similarity row sorted ascending, exactly as AccumulatePairwise emits;
-///  - top-k rows are derived from the full rows through the shared
-///    TopKOrder (same partial_sort, same tie behaviour as TruncateTopK).
-///
-/// Full similarity rows are retained (memory O(non-zero pairs), the same as
-/// the batch builder's transient peak) — that is what makes a refreshed
-/// top-k row lossless instead of an approximation.
+///  - both paths select under the same total order, which depends only on
+///    (weight, id), never on the rest of the row.
 class DynamicKnnGraph {
  public:
   struct InsertResult {
     size_t id = 0;
-    /// Pre-existing nodes that gained an edge to the new node, ascending —
-    /// exactly the nodes whose adjacency row was invalidated.
-    std::vector<size_t> touched;
+    /// Pre-existing nodes with non-zero similarity to the new node.
+    size_t linked = 0;
+    /// Pre-existing adjacency rows the insert changed: the new node entered
+    /// their top-k, or the row first exceeded k and was reordered.
+    size_t rewritten = 0;
   };
 
   /// `slots[n]` are node n's active attribute slots, sorted strictly
@@ -55,63 +56,56 @@ class DynamicKnnGraph {
                   size_t num_slots, size_t k);
 
   /// Inserts one node with the given slots (same convention as the
-  /// constructor) and returns its id (== previous num_nodes()) plus the
-  /// neighbors it linked. An attribute-free node is inserted isolated, as
-  /// the batch builder would leave it. The new node's own adjacency row is
-  /// computed eagerly — an ingested node must be servable immediately.
+  /// constructor) and returns its id (== previous num_nodes()) plus its
+  /// churn. An attribute-free node is inserted isolated, as the batch
+  /// builder would leave it.
   InsertResult InsertNode(const std::vector<size_t>& slots);
 
-  size_t num_nodes() const { return slots_.size(); }
-  size_t num_slots() const { return num_slots_; }
+  size_t num_nodes() const { return norms_.size(); }
+  size_t num_slots() const { return by_slot_.size(); }
   size_t k() const { return k_; }
 
-  /// The node's slots as stored (constructor or InsertNode argument).
-  const std::vector<size_t>& node_slots(size_t node) const {
-    return slots_[node];
-  }
-
-  /// Top-k adjacency row views; refresh the row first if it is stale.
-  std::span<const size_t> Neighbors(size_t node);
-  std::span<const double> Weights(size_t node);
+  /// Top-k adjacency row views, valid until the next InsertNode.
+  std::span<const size_t> Neighbors(size_t node) const;
+  std::span<const double> Weights(size_t node) const;
 
   /// Weighted neighbor sampling through the shared SampleRowInto core:
   /// identical RNG consumption and samples as SampleNeighborsInto on the
   /// flattened CSR graph.
   void SampleNeighborsInto(size_t node, size_t count, Rng* rng,
-                           std::vector<size_t>* out);
+                           std::vector<size_t>* out) const;
 
-  /// Materializes the CSR adjacency (refreshing every stale row). Equals a
-  /// from-scratch BuildKnnGraph over the current slot catalog, byte for
-  /// byte — the §17 rebuild-equivalence contract.
-  CsrGraph Flatten();
+  /// Materializes the CSR adjacency. Equals a from-scratch BuildKnnGraph
+  /// over the current slot catalog, byte for byte — the §17
+  /// rebuild-equivalence contract.
+  CsrGraph Flatten() const;
 
-  /// Cumulative adjacency-row churn: rows marked stale by inserts, rows
-  /// lazily recomputed (including by Flatten), and edges linked by inserts.
-  uint64_t rows_invalidated() const { return rows_invalidated_; }
+  /// Cumulative churn of InsertNode calls since construction: adjacency
+  /// rows rewritten (InsertResult::rewritten) and edges linked
+  /// (InsertResult::linked).
   uint64_t rows_refreshed() const { return rows_refreshed_; }
   uint64_t edges_linked() const { return edges_linked_; }
 
  private:
-  void EnsureRow(size_t node);
-  /// Derives adj_/adj_w_[node] from sims_[node] exactly as BuildKnnGraph +
-  /// TruncateTopK would: rows of degree <= k keep ascending-id order, larger
-  /// rows take the TopKOrder selection (heaviest first).
-  void RecomputeRow(size_t node);
+  /// Merges the new node `id` with similarity `sim` into `node`'s row;
+  /// returns whether the row changed.
+  bool LinkInto(size_t node, size_t id, double sim);
 
-  size_t num_slots_ = 0;
   size_t k_ = 0;
-  std::vector<std::vector<size_t>> slots_;
   /// Inverted index slot -> nodes active on it, ascending id (appends keep
   /// it sorted because inserted ids are maximal).
   std::vector<std::vector<size_t>> by_slot_;
   std::vector<float> norms_;
-  /// FULL similarity rows, ascending id — the lossless source every top-k
-  /// refresh re-derives from.
-  SimilarityLists sims_;
-  std::vector<std::vector<size_t>> adj_;
-  std::vector<std::vector<double>> adj_w_;
-  std::vector<uint8_t> stale_;
-  uint64_t rows_invalidated_ = 0;
+  /// Number of nodes with non-zero similarity to each node; the row holds
+  /// min(degree, k) of them.
+  std::vector<size_t> degree_;
+  /// Row n occupies [n * k, n * k + min(degree_[n], k)).
+  std::vector<size_t> adj_;
+  std::vector<double> adj_w_;
+  /// InsertNode scratch: a dense per-node shared-slot counter (then the
+  /// similarity), all zero between inserts, and the nodes it touched.
+  std::vector<float> dots_;
+  std::vector<size_t> candidates_;
   uint64_t rows_refreshed_ = 0;
   uint64_t edges_linked_ = 0;
 };

@@ -11,9 +11,13 @@ namespace agnn::graph {
 std::vector<size_t> TopKOrder(std::span<const double> w, size_t k) {
   std::vector<size_t> order(w.size());
   std::iota(order.begin(), order.end(), 0);
+  // Weight descending, then row position ascending: a total order, so the
+  // pick depends only on each entry's (weight, position), never on how
+  // partial_sort happens to break ties.
   std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-                    order.end(),
-                    [&w](size_t a, size_t b) { return w[a] > w[b]; });
+                    order.end(), [&w](size_t a, size_t b) {
+                      return w[a] > w[b] || (w[a] == w[b] && a < b);
+                    });
   order.resize(k);
   return order;
 }

@@ -36,7 +36,8 @@ struct WeightedGraph {
   size_t NumEdges() const;
   double AverageDegree() const;
 
-  /// Keeps only the top-k heaviest neighbors of every node.
+  /// Keeps only the top-k heaviest neighbors of every node, heaviest first;
+  /// equal weights keep the earlier entries (TopKOrder).
   void TruncateTopK(size_t k);
 
   /// Consistency check: indices in range, parallel arrays, finite weights.
@@ -79,7 +80,7 @@ struct CsrGraph {
 
   /// Keeps only the top-k heaviest neighbors of every node, compacting the
   /// flat arrays in place. Selects exactly the rows WeightedGraph's
-  /// TruncateTopK would (same partial_sort, same tie behaviour).
+  /// TruncateTopK would (both use TopKOrder).
   void TruncateTopK(size_t k);
 
   /// Consistency check: monotone offsets, targets < num_targets == num_nodes,
@@ -134,11 +135,11 @@ void SampleNeighborsInto(const WeightedGraph& graph, size_t node, size_t count,
 void SampleNeighborsInto(const CsrGraph& graph, size_t node, size_t count,
                          Rng* rng, std::vector<size_t>* out);
 
-/// Selection order of one row's top-k: indices into the row, heaviest first,
-/// exactly as TruncateTopK has always picked them (same partial_sort, same
-/// tie behaviour on the same input sequence). Shared by WeightedGraph,
-/// CsrGraph, and DynamicKnnGraph so the truncation paths cannot drift.
-/// Requires k <= w.size().
+/// Selection order of one row's top-k: indices into the row under the total
+/// order (weight descending, then position ascending), so equal weights go
+/// to the lowest positions. Shared by WeightedGraph, CsrGraph, and
+/// DynamicKnnGraph so the truncation paths cannot drift. Requires
+/// k <= w.size().
 std::vector<size_t> TopKOrder(std::span<const double> w, size_t k);
 
 /// Row-level weighted sampling core behind every SampleNeighborsInto

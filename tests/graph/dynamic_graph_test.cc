@@ -1,5 +1,7 @@
 #include "agnn/graph/dynamic_graph.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -54,7 +56,7 @@ TEST(DynamicKnnGraphTest, InitialGraphMatchesBatchBuilder) {
   const auto slots = RandomSlots(40, 12, 4, 7);
   DynamicKnnGraph dynamic(slots, 12, 5);
   ExpectCsrIdentical(dynamic.Flatten(), BatchBuild(slots, 12, 5));
-  EXPECT_EQ(dynamic.rows_invalidated(), 0u);
+  EXPECT_EQ(dynamic.rows_refreshed(), 0u);
   EXPECT_EQ(dynamic.edges_linked(), 0u);
 }
 
@@ -73,7 +75,7 @@ TEST(DynamicKnnGraphTest, InsertSequenceMatchesRebuildByteForByte) {
 TEST(DynamicKnnGraphTest, TiedSimilaritiesMatchRebuild) {
   // Every node shares the identical slot set, so every pairwise similarity
   // is exactly 1.0 and the top-k selection is pure tie-breaking — the
-  // incremental refresh must reproduce partial_sort's tie order, not just
+  // incremental insert must reproduce TopKOrder's tie order, not just
   // "some" top-k.
   std::vector<std::vector<size_t>> slots(9, {0, 1});
   DynamicKnnGraph dynamic(slots, 4, 3);
@@ -91,7 +93,8 @@ TEST(DynamicKnnGraphTest, KLargerThanCandidatePoolKeepsAscendingRows) {
   DynamicKnnGraph dynamic(slots, 4, 8);
   const auto inserted = dynamic.InsertNode({0, 3});
   slots.push_back({0, 3});
-  EXPECT_EQ(inserted.touched, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(inserted.linked, 3u);
+  EXPECT_EQ(inserted.rewritten, 3u);
   for (size_t n = 0; n < dynamic.num_nodes(); ++n) {
     const auto row = dynamic.Neighbors(n);
     ASSERT_LE(row.size(), 8u);
@@ -117,7 +120,7 @@ TEST(DynamicKnnGraphTest, AttributeFreeNodeInsertsIsolated) {
   DynamicKnnGraph dynamic(slots, 5, 3);
   const auto inserted = dynamic.InsertNode({});
   slots.push_back({});
-  EXPECT_TRUE(inserted.touched.empty());
+  EXPECT_EQ(inserted.linked, 0u);
   EXPECT_TRUE(dynamic.Neighbors(inserted.id).empty());
   EXPECT_TRUE(dynamic.Neighbors(4).empty());
   ExpectCsrIdentical(dynamic.Flatten(), BatchBuild(slots, 5, 3));
@@ -146,24 +149,130 @@ TEST(DynamicKnnGraphTest, SamplingMatchesFlattenedCsr) {
   }
 }
 
-TEST(DynamicKnnGraphTest, ChurnCountersTrackInvalidationAndLazyRefresh) {
+std::vector<size_t> Ids(std::span<const size_t> row) {
+  return std::vector<size_t>(row.begin(), row.end());
+}
+
+// rows_refreshed counts only rows an insert rewrote: appends to short rows,
+// the first truncation to k when it reorders, and entries into full rows.
+TEST(DynamicKnnGraphTest, ChurnCountersCountRewrittenRows) {
   std::vector<std::vector<size_t>> slots = {{0}, {0}, {1}};
   DynamicKnnGraph dynamic(slots, 3, 2);
-  const auto inserted = dynamic.InsertNode({0});
-  EXPECT_EQ(inserted.touched, (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(dynamic.edges_linked(), 2u);
-  EXPECT_EQ(dynamic.rows_invalidated(), 2u);
-  EXPECT_EQ(dynamic.rows_refreshed(), 0u);
-  // First read refreshes; the second is served from the refreshed row.
-  dynamic.Neighbors(0);
-  EXPECT_EQ(dynamic.rows_refreshed(), 1u);
-  dynamic.Neighbors(0);
-  EXPECT_EQ(dynamic.rows_refreshed(), 1u);
-  // A second insert touching an already-stale row does not double-count.
-  dynamic.InsertNode({0});
-  EXPECT_EQ(dynamic.rows_invalidated(), 4u);  // rows 0 and 3 fresh, 1 stale
-  dynamic.Neighbors(1);
-  EXPECT_EQ(dynamic.rows_refreshed(), 2u);
+  const auto check = [&](const std::vector<size_t>& node, size_t linked,
+                          size_t rewritten) {
+    const auto inserted = dynamic.InsertNode(node);
+    slots.push_back(node);
+    EXPECT_EQ(inserted.linked, linked) << "node " << inserted.id;
+    EXPECT_EQ(inserted.rewritten, rewritten) << "node " << inserted.id;
+    ExpectCsrIdentical(dynamic.Flatten(), BatchBuild(slots, 3, 2));
+  };
+  check({0}, 2, 2);     // 3: appended to rows 0 and 1
+  check({0}, 3, 0);     // 4: rows 0, 1, 3 reach k+1, all ties: unchanged
+  EXPECT_EQ(Ids(dynamic.Neighbors(0)), (std::vector<size_t>{1, 3}));
+  check({0, 1}, 5, 1);  // 5: only row 2 (empty) takes it; 0.707 < 1.0
+  check({1}, 2, 1);     // 6: row 2 appends; row 5 ties its k-th and loses
+  EXPECT_EQ(Ids(dynamic.Neighbors(5)), (std::vector<size_t>{0, 1}));
+  check({1}, 3, 2);     // 7: rows 2 and 6 truncate to k and reorder
+  EXPECT_EQ(Ids(dynamic.Neighbors(2)), (std::vector<size_t>{6, 7}));
+  check({0, 1}, 8, 1);  // 8: sim 1.0 enters row 5 ahead of its 0.707s
+  EXPECT_EQ(Ids(dynamic.Neighbors(5)), (std::vector<size_t>{8, 0}));
+  EXPECT_EQ(dynamic.edges_linked(), 2u + 3u + 5u + 2u + 3u + 8u);
+  EXPECT_EQ(dynamic.rows_refreshed(), 2u + 0u + 1u + 1u + 2u + 1u);
+}
+
+// Tie-heavy random sequences: a 4-slot universe with 1-2 active slots per
+// node makes most similarities collide, rows cross k -> k+1 under every k,
+// and a fifth of the arrivals are attribute-free. The contract holds after
+// every single insert.
+TEST(DynamicKnnGraphTest, TieHeavyRandomInsertsMatchRebuildAfterEveryInsert) {
+  constexpr size_t kSlots = 4;
+  for (size_t k : {size_t{1}, size_t{2}, size_t{8}}) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed * 100 + k);
+      const auto draw = [&rng] {
+        std::vector<size_t> node;
+        if (rng.UniformInt(5) == 0) return node;  // attribute-free arrival
+        const size_t a = rng.UniformInt(kSlots);
+        const size_t b = rng.UniformInt(kSlots);
+        node.push_back(std::min(a, b));
+        if (a != b) node.push_back(std::max(a, b));
+        return node;
+      };
+      std::vector<std::vector<size_t>> slots;
+      for (size_t i = 0; i < 5; ++i) slots.push_back(draw());
+      DynamicKnnGraph dynamic(slots, kSlots, k);
+      ExpectCsrIdentical(dynamic.Flatten(), BatchBuild(slots, kSlots, k));
+      for (size_t i = 0; i < 40; ++i) {
+        slots.push_back(draw());
+        dynamic.InsertNode(slots.back());
+        ExpectCsrIdentical(dynamic.Flatten(), BatchBuild(slots, kSlots, k));
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "k=" << k << " seed=" << seed << " insert " << i;
+        }
+      }
+    }
+  }
+}
+
+// Scale: 20k arrivals under the ml100k user schema (gender 2, age 7,
+// occupation 21; one slot each), where every node shares a slot with about
+// half the catalog and similarities take only three values. A batch rebuild
+// would hold ~2e8 pairs, so exactness is checked row by row instead,
+// against a brute-force top-k with the batch builder's arithmetic.
+TEST(DynamicKnnGraphTest, TwentyThousandInsertsKeepRowsBoundedAndExact) {
+  constexpr size_t kSlots = 30;
+  constexpr size_t kK = 8;
+  Rng rng(2024);
+  const auto draw = [&rng] {
+    return std::vector<size_t>{rng.UniformInt(2), 2 + rng.UniformInt(7),
+                               9 + rng.UniformInt(21)};
+  };
+  std::vector<std::vector<size_t>> slots;
+  for (size_t i = 0; i < 943; ++i) slots.push_back(draw());
+  DynamicKnnGraph dynamic(slots, kSlots, kK);
+  const auto expect_exact_row = [&](size_t u) {
+    const float norm_u = std::sqrt(static_cast<float>(slots[u].size()));
+    std::vector<std::pair<double, size_t>> row;  // (-weight, id)
+    for (size_t v = 0; v < slots.size(); ++v) {
+      if (v == u) continue;
+      float dot = 0.0f;
+      for (size_t s : slots[v]) {
+        if (std::binary_search(slots[u].begin(), slots[u].end(), s)) {
+          dot += 1.0f;
+        }
+      }
+      if (dot == 0.0f) continue;
+      const float norm_v = std::sqrt(static_cast<float>(slots[v].size()));
+      row.push_back({-static_cast<double>(dot / (norm_u * norm_v)), v});
+    }
+    if (row.size() > kK) {
+      std::partial_sort(row.begin(), row.begin() + kK, row.end());
+      row.resize(kK);
+    }
+    const auto adj = dynamic.Neighbors(u);
+    const auto w = dynamic.Weights(u);
+    ASSERT_EQ(adj.size(), row.size()) << "node " << u;
+    for (size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(adj[i], row[i].second) << "node " << u << " pos " << i;
+      EXPECT_EQ(w[i], -row[i].first) << "node " << u << " pos " << i;
+    }
+  };
+  for (size_t i = 0; i < 20000; ++i) {
+    slots.push_back(draw());
+    const auto inserted = dynamic.InsertNode(slots.back());
+    ASSERT_LE(dynamic.Neighbors(inserted.id).size(), kK);
+    ASSERT_LE(inserted.rewritten, inserted.linked);
+    if ((i + 1) % 5000 == 0) {
+      for (size_t n = 0; n < dynamic.num_nodes(); ++n) {
+        ASSERT_LE(dynamic.Neighbors(n).size(), kK) << "node " << n;
+      }
+      for (size_t probe = 0; probe < 8; ++probe) {
+        expect_exact_row(rng.UniformInt(dynamic.num_nodes()));
+      }
+      expect_exact_row(inserted.id);
+    }
+  }
+  EXPECT_EQ(dynamic.num_nodes(), 943u + 20000u);
 }
 
 }  // namespace

@@ -39,6 +39,30 @@ TEST(WeightedGraphTest, TruncateTopKKeepsHeaviest) {
   EXPECT_EQ(kept.count(3.0), 1u);
 }
 
+// TopKOrder is a total order (weight descending, then position ascending):
+// ties at the k boundary go to the lowest positions whatever the rest of the
+// row holds, and WeightedGraph/CsrGraph truncation inherit that pick.
+TEST(TopKOrderTest, TiesAtKBoundaryPickLowestPositions) {
+  const std::vector<double> w = {1.0, 2.0, 1.0, 3.0, 1.0, 2.0, 1.0, 0.5, 1.0};
+  EXPECT_EQ(TopKOrder(w, 1), (std::vector<size_t>{3}));
+  EXPECT_EQ(TopKOrder(w, 3), (std::vector<size_t>{3, 1, 5}));
+  EXPECT_EQ(TopKOrder(w, 5), (std::vector<size_t>{3, 1, 5, 0, 2}));
+  EXPECT_EQ(TopKOrder(w, 7), (std::vector<size_t>{3, 1, 5, 0, 2, 4, 6}));
+  // All-equal rows keep their first k positions in order.
+  const std::vector<double> flat(20, 0.25);
+  EXPECT_EQ(TopKOrder(flat, 4), (std::vector<size_t>{0, 1, 2, 3}));
+
+  WeightedGraph g;
+  g.Resize(10);
+  for (size_t v = 1; v < 10; ++v) g.AddEdge(0, v, w[v - 1]);
+  CsrGraph csr = CsrGraph::FromWeighted(g);
+  g.TruncateTopK(5);
+  csr.TruncateTopK(5);
+  EXPECT_EQ(g.neighbors[0], (std::vector<size_t>{4, 2, 6, 1, 3}));
+  EXPECT_EQ(g.weights[0], (std::vector<double>{3.0, 2.0, 2.0, 1.0, 1.0}));
+  EXPECT_EQ(csr.ToWeighted().neighbors, g.neighbors);
+}
+
 TEST(WeightedGraphTest, TruncateNoopWhenSmall) {
   WeightedGraph g = Triangle();
   g.TruncateTopK(10);

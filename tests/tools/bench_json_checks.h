@@ -152,15 +152,14 @@ inline std::string CheckBenchJson(const obs::JsonValue& root) {
   }
 
   // Ingestion artifacts carry the online cold-start contract (DESIGN.md
-  // §17): per-node time-to-serve tails, the incremental churn counters and
-  // their batch-rebuild comparison, both bitwise gates, and the "ingestion"
+  // §17): per-node time-to-serve tails, the adjacency churn counter, both
+  // bitwise gates with the rebuild gate's probe count, and the "ingestion"
   // series the trajectory charts time-to-serve from.
   if (name->string == "cold_ingestion") {
     const obs::JsonValue& metrics = *root.Find("metrics");
     for (const char* key :
          {"ingest/count", "ingest/p50_ms", "ingest/p95_ms",
-          "ingest/edges_linked", "churn/rows_invalidated",
-          "churn/rows_refreshed", "rebuild/ms", "rebuild/rows",
+          "ingest/edges_linked", "churn/rows_refreshed", "rebuild/probes",
           "gate/bitwise_equal", "gate/rebuild_bitwise_equal"}) {
       const obs::JsonValue* v = metrics.Find(key);
       if (v == nullptr || !v->is_number()) {
